@@ -2,7 +2,9 @@
 
 Graph-writes: the platform's own semantic graph (rebuilt by
 ``semanticize``), the local merged union before it is frozen, and the
-optionally attached quad-store via generation-stamped sync commits
+contexts it owns in the optionally attached quad-store (the default
+context and the three LOD corpus contexts) via generation-stamped sync
+commits; every other store context is left alone
 
 Integration point of the substrates:
 
@@ -12,8 +14,14 @@ Integration point of the substrates:
   stored with their triple tags (the legacy path, §1.1);
 * :meth:`Platform.semanticize` runs the LODification (§2): D2R-dumps the
   relational data, runs the automatic semantic annotation pipeline on
-  every content, runs location analysis, and loads everything into the
+  every new or edited content (an unchanged item keeps its last
+  result), runs location analysis, and loads everything into the
   triple store next to the LOD corpus;
+* :meth:`Platform.synchronize_store` mirrors that into an attached
+  quad-store. The platform owns the store's default context (its own
+  graph) and the DBpedia, Geonames and LinkedGeoData contexts (the
+  corpus); a sync reconciles only those, so quads other writers put in
+  other contexts survive it;
 * :meth:`Platform.evaluator` exposes the SPARQL endpoint used by the
   virtual albums, the mashup and the mobile search interface.
 """
@@ -102,10 +110,14 @@ class Platform:
         self.crossposter = crossposter or default_crossposter()
         self._items: Dict[int, ContentItem] = {}
         self._annotations: Dict[int, AnnotationResult] = {}
+        #: the annotator that produced ``_annotations``
+        self._annotated_by: Optional[SemanticAnnotator] = None
         self._semantic_graph: Optional[Graph] = None
         self._union: Optional[Graph] = None
         self._dirty = True
         self._store = None
+        #: corpus graph versions at the last store sync (None: unsynced)
+        self._synced_corpus: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # Users and relationships
@@ -318,13 +330,19 @@ class Platform:
 
     def semanticize(self) -> Graph:
         """Run the full semantic enhancement and return the platform
-        graph: D2R dump + automatic annotations + location analysis."""
+        graph: D2R dump + automatic annotations + location analysis.
+
+        An item keeps its previous annotation result while its title
+        and tags are unchanged, the annotator is the same object, and
+        that result was not degraded by a failing resolver. Location
+        analysis reruns for every item: a new position fix can change
+        another item's buddies."""
+        if self._annotated_by is not self.annotator:
+            self._annotations.clear()
+            self._annotated_by = self.annotator
         graph = dump_graph(self.db, self.mapping)
         for item in self.contents():
-            annotation = self.annotator.annotate(
-                item.title, item.plain_tags
-            )
-            self._annotations[item.pid] = annotation
+            annotation = self._annotate(item)
             for ann in annotation.annotations:
                 graph.add((item.resource, DCTERMS.subject, ann.resource))
 
@@ -352,6 +370,20 @@ class Platform:
         self._union = None
         self._dirty = False
         return graph
+
+    def _annotate(self, item: ContentItem) -> AnnotationResult:
+        previous = self._annotations.get(item.pid)
+        if (
+            previous is not None
+            and previous.title == item.title
+            and previous.plain_tags == item.plain_tags
+            and not (previous.broker_result is not None
+                     and previous.broker_result.degraded)
+        ):
+            return previous
+        annotation = self.annotator.annotate(item.title, item.plain_tags)
+        self._annotations[item.pid] = annotation
+        return annotation
 
     def annotation_result(self, pid: int) -> Optional[AnnotationResult]:
         """The pipeline output for a content (populated by semanticize)."""
@@ -394,23 +426,41 @@ class Platform:
     # ------------------------------------------------------------------
     def attach_store(self, store) -> "Platform":
         """Back the triple store with an MVCC quad-store
-        (:class:`repro.store.QuadStore`): every
-        :meth:`synchronize_store` reconciles the store with the current
-        corpus + platform graph as one generation-stamped commit, and
-        :meth:`evaluator` serves queries from pinned snapshots of it —
-        with WAL + snapshot durability when the store is on disk."""
+        (:class:`repro.store.QuadStore`) and sync it once, as one
+        generation-stamped commit. From then on every
+        :meth:`synchronize_store` reconciles the contexts the platform
+        owns, and :meth:`evaluator` serves queries from pinned
+        snapshots of the store — with WAL + snapshot durability when
+        the store is on disk. Other contexts of the store belong to
+        other writers and are never touched."""
         self._store = store
+        self._synced_corpus = None
         self.synchronize_store()
         return self
 
     def synchronize_store(self) -> Optional[int]:
-        """Bring the attached store up to date with the platform's
-        triple store; returns the store generation (None when no store
-        is attached). Unchanged data commits nothing — the generation
-        only advances when the dataset actually differs."""
+        """Bring the platform's contexts of the attached store up to
+        date; returns the store generation (None when no store is
+        attached).
+
+        The platform owns the default context, synced from the
+        platform graph on every call, and the three LOD corpus
+        contexts, synced on attach and afterwards only when a corpus
+        graph's version changed. Every other context is left alone.
+        One generation per call at most: unchanged data commits
+        nothing."""
         if self._store is None:
             return None
-        return self._store.sync_dataset(self.triple_store())
+        if self._semantic_graph is None or self._dirty:
+            self.semanticize()
+        graphs: Dict[object, Graph] = {None: self._semantic_graph}
+        corpus = self.corpus.named_graphs()
+        versions = tuple(graph.version for graph in corpus.values())
+        if versions != self._synced_corpus:
+            graphs.update(corpus)
+        generation = self._store.sync_contexts(graphs)
+        self._synced_corpus = versions
+        return generation
 
     def evaluator(self) -> Evaluator:
         """The platform's SPARQL endpoint over everything.

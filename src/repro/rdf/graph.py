@@ -168,6 +168,11 @@ class Graph:
             return URIRef(value)
         raise TypeError(f"invalid predicate: {value!r}")
 
+    @property
+    def version(self) -> int:
+        """The mutation counter: unchanged means unchanged content."""
+        return self._version
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

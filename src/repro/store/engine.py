@@ -54,6 +54,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -1209,30 +1210,50 @@ class QuadStore:
         return GraphStatistics.cached(self.head())
 
     # -- dataset interop -------------------------------------------------
-    def sync_dataset(self, dataset: Dataset) -> int:
-        """Commit the delta that makes this store equal ``dataset``.
+    def sync_contexts(self, graphs: Mapping[Any, Any]) -> int:
+        """Commit the delta that makes each given context equal its graph.
 
-        One generation for the whole reconciliation; unchanged quads
-        cost nothing. Returns the resulting generation."""
-        desired: Dict[ContextKey, Set[Triple]] = {
-            None: set(dataset.default.triples())
-        }
+        ``graphs`` maps a context (``None`` = default) to the graph it
+        should hold; contexts it does not name are left alone. The diff
+        is computed and committed under one hold of the commit lock, so
+        a concurrent commit to one of these contexts lands wholly before
+        or wholly after the reconciliation. One generation for the
+        whole reconciliation; unchanged quads cost nothing. Returns the
+        resulting generation."""
+        return self._reconcile(graphs, drop_absent=False)
+
+    def sync_dataset(self, dataset: Dataset) -> int:
+        """Commit the delta that makes this store equal ``dataset``:
+        :meth:`sync_contexts` over the dataset's default and named
+        graphs, plus dropping every context the dataset lacks — all in
+        one generation."""
+        graphs: Dict[Any, Any] = {None: dataset.default}
         for graph in dataset.graphs():
-            key = _as_context(graph.identifier)
-            desired[key] = set(graph.triples())
-        batch = WriteBatch()
-        state = self._state  # cc: allow=CC001 (atomic reference read)
-        for key, cs in state.contexts.items():
-            want = desired.get(key, set())
-            for triple in _context_triples(cs, (None, None, None)):
-                if triple not in want:
-                    batch.ops.append((OP_REMOVE, triple, key))
-        for key, want in desired.items():
-            cs = state.contexts.get(key)
-            for triple in sorted(want):
-                if cs is None or not _context_visible(cs, triple):
-                    batch.ops.append((OP_ADD, triple, key))
-        return self.commit(batch)
+            graphs[graph.identifier] = graph
+        return self._reconcile(graphs, drop_absent=True)
+
+    def _reconcile(
+        self, graphs: Mapping[Any, Any], drop_absent: bool
+    ) -> int:
+        wanted = {
+            _as_context(context): graph
+            for context, graph in graphs.items()
+        }
+        with self._commit_lock:
+            state = self._state
+            ops: List[BatchOp] = []
+            if drop_absent:
+                for key, cs in state.contexts.items():
+                    if key not in wanted:
+                        ops.extend(_context_delta(cs, key, ()))
+            for key, graph in wanted.items():
+                ops.extend(_context_delta(
+                    state.contexts.get(key), key, graph.triples()
+                ))
+            if not ops:
+                return state.generation
+            generation, _ = self._apply_locked(ops)
+        return generation
 
     # -- admin -----------------------------------------------------------
     def info(self) -> dict:
@@ -1323,6 +1344,26 @@ def is_quad_store(obj: Any) -> bool:
 # state construction helpers (kept free of len()+write straddles so the
 # effects analyzer can see reads and writes in separate functions)
 # ---------------------------------------------------------------------
+def _context_delta(
+    cs: Optional[_ContextState], key: ContextKey, triples: Iterable[Triple]
+) -> List[BatchOp]:
+    """The ops that turn context ``key`` (state ``cs``) into exactly
+    ``triples``: removals in context order, then only the *missing*
+    triples, sorted so equal inputs write byte-identical WAL records."""
+    want = set(triples)
+    ops: List[BatchOp] = []
+    if cs is not None:
+        for triple in _context_triples(cs, (None, None, None)):
+            if triple not in want:
+                ops.append((OP_REMOVE, triple, key))
+    missing = sorted(
+        triple for triple in want
+        if cs is None or not _context_visible(cs, triple)
+    )
+    ops.extend((OP_ADD, triple, key) for triple in missing)
+    return ops
+
+
 def _fold_context(
     scratch: _Working, key: ContextKey, namespaces: NamespaceManager
 ) -> _ContextState:

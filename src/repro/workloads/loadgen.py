@@ -34,7 +34,9 @@ Freshness is measured end to end: an upload records its start time,
 every ``sync_every``-th upload triggers ``synchronize_store`` plus a
 search-index rebuild, and each drained upload is verified visible in
 the store head before its upload-to-queryable staleness is observed
-into ``repro_loadgen_freshness_seconds``.
+into ``repro_loadgen_freshness_seconds``. The same pinned head must
+still hold every scratch write acknowledged before the sync, so a sync
+that loses another writer's data fails the op that triggered it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from ..platform.gallery import Platform
 from ..platform.models import Capture
 from ..platform.search import SearchInterface
 from ..platform.web import WebInterface
-from ..rdf.terms import URIRef
+from ..rdf.graph import Triple
+from ..rdf.terms import Literal, URIRef
 from ..sparql.evaluator import Evaluator
 from ..store import QuadStore, StoreGraph
 from .generator import WorkloadConfig, generate_workload, populate_platform
@@ -282,6 +285,9 @@ class LoadGenerator:
         self._errors: List[str] = []
         self._errors_lock = threading.Lock()
         self._completed = 0
+        #: scratch quads whose store write was acknowledged
+        self._written: List[Triple] = []
+        self._written_lock = threading.Lock()
 
     # -- environment -----------------------------------------------------
     def setup(self) -> "LoadGenerator":
@@ -344,7 +350,17 @@ class LoadGenerator:
         # verify + observe freshness outside the lock on a pinned head
         self._search = search
         synced_at = time.perf_counter()
+        with self._written_lock:
+            written = list(self._written)
+        # pinned after the copy, so it must hold every quad in it
         head = self._store.head()
+        lost = [quad for quad in written if quad not in head]
+        if lost:
+            raise RuntimeError(
+                f"{len(lost)} of {len(written)} acknowledged scratch "
+                f"write(s) missing after sync (store generation "
+                f"{head.generation}), first {lost[0][0]}"
+            )
         histogram = get_registry().histogram(
             "repro_loadgen_freshness_seconds",
             "Upload-to-queryable staleness per synced upload",
@@ -390,11 +406,14 @@ class LoadGenerator:
 
     def _op_store_write(self, arg: str) -> None:
         index = int(arg[1:])
-        self._scratch.insert((
+        quad = (
             URIRef(f"http://repro.local/loadgen/op/{index}"),
             URIRef("http://repro.local/loadgen/vocab#payload"),
-            f"write-{index}",
-        ))
+            Literal(f"write-{index}"),
+        )
+        self._scratch.insert(quad)
+        with self._written_lock:
+            self._written.append(quad)
 
     def _execute(self, op: ScheduledOp) -> None:
         handler = getattr(self, f"_op_{op.kind}")

@@ -1,5 +1,7 @@
 """MVCC engine semantics: generations, snapshot isolation, overlays."""
 
+import threading
+
 import pytest
 
 from repro.rdf import RDF, URIRef
@@ -183,6 +185,91 @@ class TestSyncDataset:
         store.sync_dataset(smaller)
         assert store.size == 1
         assert store.head()._contains(*_triple(1))
+
+
+    def test_sync_drops_contexts_the_dataset_lacks(self):
+        store = QuadStore()
+        store.insert(_triple(1), EX + "gone")
+        dataset = Dataset()
+        dataset.default.add(_triple(2))
+        store.sync_dataset(dataset)
+        assert store.contexts() == [None]
+
+
+class _PausingGraph:
+    """A graph whose ``triples()`` blocks until the test releases it,
+    holding a sync in the middle of its diff."""
+
+    def __init__(self, triples):
+        self._triples = list(triples)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def triples(self, pattern=(None, None, None)):
+        self.entered.set()
+        assert self.release.wait(10)
+        return iter(self._triples)
+
+
+class TestSyncContexts:
+    def test_only_named_contexts_are_reconciled(self):
+        store = QuadStore()
+        store.insert(_triple(1), EX + "foreign")
+        store.insert(_triple(2))
+        target = Graph()
+        target.add(_triple(3))
+        generation = store.sync_contexts({None: target})
+        assert generation == store.generation == 3
+        assert set(store.graph().triples()) == {_triple(3)}
+        assert set(store.graph(EX + "foreign").triples()) == {_triple(1)}
+        # unchanged → no commit
+        assert store.sync_contexts({None: target}) == generation
+
+    def test_several_contexts_sync_as_one_generation(self):
+        store = QuadStore()
+        first, second = Graph(), Graph()
+        first.add(_triple(1))
+        second.add(_triple(2))
+        assert store.sync_contexts(
+            {EX + "a": first, EX + "b": second}
+        ) == 1
+        assert store.contexts() == [URIRef(EX + "a"), URIRef(EX + "b")]
+        # an empty graph empties (and so drops) its context
+        assert store.sync_contexts({EX + "a": Graph()}) == 2
+        assert store.contexts() == [URIRef(EX + "b")]
+
+    def test_concurrent_commit_cannot_land_inside_the_diff(self):
+        """The diff and its commit share one hold of the commit lock: a
+        write racing the sync lands wholly after it, so the state
+        published at the sync's generation is exactly the target."""
+        store = QuadStore()
+        store.insert(_triple(1))
+        published = {}
+        commit = store._apply_segments_locked
+
+        def recording(segments):
+            generation, counts = commit(segments)
+            published[generation] = store.graph()  # lock still held
+            return generation, counts
+
+        store._apply_segments_locked = recording
+        target = _PausingGraph([_triple(2)])
+        synced = []
+        syncer = threading.Thread(
+            target=lambda: synced.append(store.sync_contexts({None: target}))
+        )
+        syncer.start()
+        assert target.entered.wait(10)
+        writer = threading.Thread(target=store.insert, args=(_triple(3),))
+        writer.start()
+        writer.join(0.2)  # unlocked, the write would land here
+        target.release.set()
+        syncer.join(10)
+        writer.join(10)
+        assert not syncer.is_alive() and not writer.is_alive()
+
+        assert set(published[synced[0]].triples()) == {_triple(2)}
+        assert set(store.graph().triples()) == {_triple(2), _triple(3)}
 
 
 class TestStatistics:

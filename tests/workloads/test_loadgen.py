@@ -117,3 +117,44 @@ class TestRun:
         assert data["completed"] == 8
         text = report.render()
         assert "load run:" in text and "op/s" in text
+
+
+class TestSelfCheck:
+    def test_sync_that_deletes_foreign_contexts_fails_the_run(
+        self, registry, monkeypatch
+    ):
+        """A platform sync that wipes every context it does not own
+        (the store-wide reconcile) loses the acknowledged scratch
+        writes, and the load generator's read-back must notice."""
+        from repro.platform.gallery import Platform
+
+        def sync_whole_store(platform):
+            return platform._store.sync_dataset(platform.triple_store())
+
+        monkeypatch.setattr(
+            Platform, "synchronize_store", sync_whole_store
+        )
+        config = LoadConfig(
+            mix="write-heavy", seed=7, ops=24, workers=1,
+            base_contents=6, sync_every=1,
+        )
+        kinds = [op.kind for op in build_schedule(config)]
+        assert "store_write" in kinds
+        assert "upload" in kinds[kinds.index("store_write"):]
+
+        report = LoadGenerator(config).run()
+
+        assert report.errors >= 1
+        assert any(
+            "acknowledged scratch write(s) missing after sync" in sample
+            for sample in report.error_samples
+        ), report.error_samples
+
+    def test_scoped_sync_keeps_scratch_writes(self, registry):
+        config = LoadConfig(
+            mix="write-heavy", seed=7, ops=24, workers=1,
+            base_contents=6, sync_every=1,
+        )
+        report = LoadGenerator(config).run()
+        assert report.errors == 0, report.error_samples
+        assert report.freshness.get("count", 0) >= 1
